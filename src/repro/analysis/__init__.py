@@ -28,13 +28,12 @@ Per-file rules judge one module at a time.  The
 each module is distilled into a JSON-serializable summary, the
 summaries are linked into a project-wide call graph
 (:class:`~repro.analysis.program.graph.ProgramGraph`), and fixpoint
-propagations over that graph power four interprocedural rules —
+propagations over that graph power three interprocedural rules —
 ``error-contract`` (only ``ReproError`` subtypes escape public entry
 points, however deep the raise), ``mmap-escape`` (raw loader arrays
-frozen on every path out of ``store/``), ``invalidation-reachability``
-(mutators reach a version bump through helper chains) and
-``blocking-in-async`` (nothing transitively reachable from ``async
-def`` blocks the event loop).  Summaries are cached under
+frozen on every path out of ``store/``) and
+``invalidation-reachability`` (mutators reach a version bump through
+helper chains).  Summaries are cached under
 ``.repro-check-cache/`` keyed by content hash, so a warm ``repro
 check`` re-summarizes only edited files while producing findings
 identical to a cold run.

@@ -22,7 +22,6 @@ from repro.errors import ConfigurationError
 KERNEL_SCOPE: Tuple[str, ...] = (
     "repro/columnar/",
     "repro/search/topk.py",
-    "repro/search/planner.py",
     "repro/temporal/",
     "repro/spatial/",
     "repro/store/",
@@ -96,7 +95,6 @@ DEFAULT_SCOPES: Dict[str, Tuple[str, ...]] = {
     "error-contract": ERROR_CONTRACT_SCOPE,
     "mmap-escape": ("repro/store/",),
     "invalidation-reachability": INVALIDATION_SCOPE,
-    "blocking-in-async": ("*",),
 }
 
 

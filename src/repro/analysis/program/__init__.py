@@ -14,13 +14,13 @@ rules the cross-module picture:
   :class:`ProgramGraph`: a cross-module name resolver (growing
   :class:`~repro.analysis.imports.ImportMap` through package
   re-exports), a call graph, and the fixpoint analyses program rules
-  query — escaping exception types, blocking-call reachability,
-  unfrozen raw-array returns, version-bump reachability;
+  query — escaping exception types, unfrozen raw-array returns,
+  version-bump reachability;
 * :mod:`~repro.analysis.program.base` defines :class:`ProgramRule`,
   the base class for rules that check the graph instead of one AST;
 * :mod:`~repro.analysis.program.rules` ships the interprocedural
-  rules: ``error-contract``, ``mmap-escape``,
-  ``invalidation-reachability`` and ``blocking-in-async``.
+  rules: ``error-contract``, ``mmap-escape`` and
+  ``invalidation-reachability``.
 
 Summaries are what the incremental cache persists
 (:mod:`repro.analysis.cache`): a warm ``repro check`` re-reads and

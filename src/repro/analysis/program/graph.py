@@ -12,9 +12,9 @@ cross-module structures program rules query:
   summarized bases), so ``except ReproError`` is known to absorb
   ``SearchError`` and ``except Exception`` to spare ``InjectedCrash``;
 * **fixpoints** — escaping exception types per function (absorbed by
-  enclosing ``try``/``except`` guards at each call site), blocking-call
-  reachability through sync helpers, unfrozen raw-array returns, and
-  version-bump reachability through free-function helpers.
+  enclosing ``try``/``except`` guards at each call site), unfrozen
+  raw-array returns, and version-bump reachability through
+  free-function helpers.
 
 Every fixpoint iterates functions in sorted qualname order and keeps
 first-writer provenance, so results (and the findings built from
@@ -39,23 +39,7 @@ from repro.analysis.program.summary import (
     ModuleSummary,
 )
 
-__all__ = ["BlockingSite", "Provenance", "ProgramGraph"]
-
-#: Call names that block the event loop when reached under ``async def``.
-BLOCKING_CALLS = frozenset(
-    {
-        "time.sleep",
-        "os.system",
-        "os.popen",
-        "open",
-        "io.open",
-        "socket.create_connection",
-    }
-)
-BLOCKING_PREFIXES = ("subprocess.", "urllib.request.", "requests.")
-
-#: (op, owning function qualname, line) of a direct blocking call.
-BlockingSite = Tuple[str, str, int]
+__all__ = ["Provenance", "ProgramGraph"]
 
 #: How an exception type entered a function's escape set: a direct
 #: ``("raise", line)`` or a propagating ``("call", line, callee)``.
@@ -69,10 +53,6 @@ def _builtin_exception(name: str) -> Optional[type]:
     if isinstance(obj, type) and issubclass(obj, BaseException):
         return obj
     return None
-
-
-def is_blocking_call(callee: str) -> bool:
-    return callee in BLOCKING_CALLS or callee.startswith(BLOCKING_PREFIXES)
 
 
 class ProgramGraph:
@@ -93,7 +73,6 @@ class ProgramGraph:
         ] = None
         self._callers: Optional[Dict[str, Set[str]]] = None
         self._escapes: Optional[Dict[str, Dict[str, Provenance]]] = None
-        self._blocking: Optional[Dict[str, BlockingSite]] = None
         self._raw_returns: Optional[Dict[str, int]] = None
         self._param_bumps: Optional[Dict[str, Set[str]]] = None
 
@@ -371,41 +350,6 @@ class ProgramGraph:
                 break
             current = callee
         return chain
-
-    # -- fixpoint: blocking-call reachability ----------------------------
-    def blocking_reach(self) -> Dict[str, BlockingSite]:
-        """Sync functions → the first direct blocking site they reach."""
-        if self._blocking is not None:
-            return self._blocking
-        blocking: Dict[str, BlockingSite] = {}
-        for qualname in sorted(self.functions):
-            func = self.functions[qualname]
-            if func.is_async:
-                continue
-            for site in func.calls:
-                if is_blocking_call(site.callee):
-                    blocking[qualname] = (site.callee, qualname, site.line)
-                    break
-        edges = self.edges()
-        changed = True
-        while changed:
-            changed = False
-            for qualname in sorted(self.functions):
-                func = self.functions[qualname]
-                if func.is_async or qualname in blocking:
-                    continue
-                for site, target in edges[qualname]:
-                    if target is None:
-                        continue
-                    reached = blocking.get(target)
-                    if reached is not None and not self.functions[
-                        target
-                    ].is_async:
-                        blocking[qualname] = reached
-                        changed = True
-                        break
-        self._blocking = blocking
-        return blocking
 
     # -- fixpoint: unfrozen raw-array returns ----------------------------
     def raw_unfrozen_returns(self) -> Dict[str, int]:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.analysis.program.rules import (  # noqa: F401
-    blocking_in_async,
     error_contract,
     invalidation_reachability,
     mmap_escape,

@@ -191,7 +191,6 @@ class FunctionSummary:
     name: str
     cls: Optional[str]  #: bare enclosing class name for methods
     line: int
-    is_async: bool
     decorators: Tuple[str, ...]
     params: Tuple[str, ...]
     calls: Tuple[CallSite, ...]
@@ -212,7 +211,6 @@ class FunctionSummary:
             "name": self.name,
             "cls": self.cls,
             "line": self.line,
-            "is_async": self.is_async,
             "decorators": list(self.decorators),
             "params": list(self.params),
             "calls": [site.to_jsonable() for site in self.calls],
@@ -233,7 +231,6 @@ class FunctionSummary:
                 None if payload["cls"] is None else str(payload["cls"])
             ),
             line=int(payload["line"]),
-            is_async=bool(payload["is_async"]),
             decorators=tuple(str(d) for d in payload["decorators"]),
             params=tuple(str(p) for p in payload["params"]),
             calls=tuple(
@@ -676,7 +673,6 @@ def _summarize_function(
         name=func.name,
         cls=cls,
         line=func.lineno,
-        is_async=isinstance(func, ast.AsyncFunctionDef),
         decorators=_decorator_names(func, imports),
         params=walker.params,
         calls=tuple(walker.calls),

@@ -23,13 +23,6 @@ from repro.search.topk import (
     topk_many,
     true_length,
 )
-from repro.search.planner import (
-    CANDIDATES,
-    CalibratedPlanner,
-    CostModel,
-    QueryLog,
-    QueryRecord,
-)
 from repro.search.engine import (
     BurstySearchEngine,
     SearchResult,
@@ -40,16 +33,11 @@ from repro.search.ensemble import EnsembleResult, EnsembleSearchEngine
 
 __all__ = [
     "BurstySearchEngine",
-    "CANDIDATES",
-    "CalibratedPlanner",
-    "CostModel",
     "EnsembleResult",
     "EnsembleSearchEngine",
     "InvertedIndex",
     "Posting",
     "PostingList",
-    "QueryLog",
-    "QueryRecord",
     "RelevanceFunction",
     "STRATEGIES",
     "SearchResult",

@@ -10,8 +10,9 @@ segments, that work is the serving-path bottleneck.
 
 This module is the columnar counterpart: three interchangeable
 strategies that return **byte-identical rankings** (same documents,
-same floating-point scores, same deterministic tiebreak order), picked
-per query by a selectivity-based planner.
+same floating-point scores, same deterministic tiebreak order);
+``strategy="auto"`` picks one per query with the static selectivity
+rule :func:`plan_strategy`.
 
 * ``ta`` — the reference round-robin Threshold Algorithm, unchanged.
 * ``blockmax`` — block-at-a-time TA: sorted accesses are consumed in
@@ -129,15 +130,9 @@ class TopKStats:
 
     Attributes:
         strategy: The strategy that actually ran (``auto`` resolved).
-            ``"merged"`` means the query was answered from a
-            pre-materialised hot-combination ranking (see
-            :mod:`repro.search.planner`) without running any strategy.
-        planned: True when a planner chose the strategy.
+        planned: True when ``auto`` chose the strategy through
+            :func:`plan_strategy`.
         sorted_accesses: Postings consumed through sorted access.
-        source: How the strategy was chosen — ``"explicit"`` (caller
-            named it), ``"heuristic"`` (the static selectivity rule),
-            or a :class:`~repro.search.planner.CalibratedPlanner` tier
-            (``"memory"``, ``"model"``, ``"explore"``, ``"merged"``).
         degraded_terms: Query terms whose posting columns were
             quarantined by degraded-mode serving (empty outside
             ``on_corruption="degrade"``); their contribution to the
@@ -148,7 +143,6 @@ class TopKStats:
     strategy: str
     planned: bool
     sorted_accesses: int
-    source: str = "explicit"
     degraded_terms: Tuple[str, ...] = ()
 
 
@@ -159,8 +153,8 @@ def true_length(posting_list: PostingList) -> int:
     truncated`) list the visible ``len()`` under-counts the work the
     scan strategy actually does: candidate gathers probe the *full*
     random-access relation, and the columnar index is built over it.
-    The planner therefore needs both numbers — visible length for
-    TA-style termination-depth reasoning, true length for scan-cost
+    :func:`plan_strategy` therefore needs both numbers — visible length
+    for TA-style termination-depth reasoning, true length for scan-cost
     reasoning.
 
     Never materialises anything: lazy random-access maps are inspected
@@ -776,17 +770,15 @@ def blockmax_topk(
 
 
 # ----------------------------------------------------------------------
-# Planner + dispatch
+# Strategy selection + dispatch
 # ----------------------------------------------------------------------
 def plan_strategy(lists: Sequence[PostingList], k: int) -> str:
     """Pick ``blockmax`` or ``scan`` from cheap per-list statistics.
 
-    The static fallback rule — used when no calibrated
-    :class:`~repro.search.planner.CalibratedPlanner` is attached, or
-    when its query log is still cold.  The inputs are the visible and
-    :func:`true_length` list lengths, ``k`` and the number of terms —
-    all O(1) per list.  The decision rule (documented in the README's
-    performance model):
+    The rule ``strategy="auto"`` resolves through.  The inputs are the
+    visible and :func:`true_length` list lengths, ``k`` and the number
+    of terms — all O(1) per list.  The decision rule (documented in the
+    README's "static heuristic" paragraph):
 
     * tiny total work (≤ ``SCAN_TOTAL_CUTOFF`` postings in the *full*
       random-access relations — what the scan actually touches; the
@@ -815,31 +807,16 @@ def topk(
     k: int,
     strategy: str = "auto",
     block: int = DEFAULT_BLOCK,
-    planner=None,
-    terms: Tuple[str, ...] = (),
-    token: Hashable = None,
 ) -> Tuple[List[TopKResult], TopKStats]:
     """Top-k under Eq. 10 aggregation with a pluggable strategy.
 
     Args:
         lists: One posting list per (deduplicated) query term.
         k: Number of results.
-        strategy: ``auto`` (planner-selected), ``ta``, ``blockmax`` or
-            ``scan``.  All strategies return byte-identical rankings;
-            only the execution cost differs.
+        strategy: ``auto`` (resolved by :func:`plan_strategy`), ``ta``,
+            ``blockmax`` or ``scan``.  All strategies return
+            byte-identical rankings; only the execution cost differs.
         block: Sorted accesses per list per round for ``blockmax``.
-        planner: Optional :class:`~repro.search.planner.
-            CalibratedPlanner`.  With ``strategy="auto"`` it replaces
-            the static :func:`plan_strategy` rule (falling back to it
-            while its log is cold) and may answer straight from a
-            pre-materialised hot-combination ranking.  Explicit
-            strategies are still *observed* — their timings feed the
-            planner's calibration.
-        terms: The normalized query-term tuple, used by the planner
-            for per-term-set memory and hot-combination mining.
-        token: Version token for ``terms``' posting lists; the
-            planner's merged-ranking cache is keyed by it so live
-            mutation invalidates correctly.
 
     Returns:
         ``(results, stats)``.
@@ -853,46 +830,15 @@ def topk(
         )
     _validate(lists, k)
     planned = strategy == "auto"
-    source = "explicit"
-    if planned:
-        if planner is not None:
-            if terms:
-                merged = planner.serve_merged(terms, token, lists, k)
-                if merged is not None:
-                    return merged, TopKStats(
-                        strategy="merged",
-                        planned=True,
-                        sorted_accesses=0,
-                        source="merged",
-                    )
-            resolved, source = planner.plan(lists, k, terms)
-        else:
-            resolved = plan_strategy(lists, k)
-            source = "heuristic"
-    else:
-        resolved = strategy
-    start = planner.clock() if planner is not None else 0.0
+    resolved = plan_strategy(lists, k) if planned else strategy
     if resolved == "ta":
         results, accesses = threshold_topk(lists, k)
     elif resolved == "blockmax":
         results, accesses = blockmax_topk(lists, k, block=block)
     else:
         results, accesses = scan_topk(lists, k)
-    if planner is not None:
-        planner.observe(
-            lists=lists,
-            k=k,
-            strategy=resolved,
-            sorted_accesses=accesses,
-            elapsed=planner.clock() - start,
-            terms=terms,
-            source=source,
-        )
     return results, TopKStats(
-        strategy=resolved,
-        planned=planned,
-        sorted_accesses=accesses,
-        source=source,
+        strategy=resolved, planned=planned, sorted_accesses=accesses
     )
 
 
@@ -901,9 +847,6 @@ def topk_many(
     k: int,
     strategy: str = "auto",
     block: int = DEFAULT_BLOCK,
-    planner=None,
-    terms_list: Optional[Sequence[Tuple[str, ...]]] = None,
-    token: Hashable = None,
 ) -> List[Tuple[List[TopKResult], TopKStats]]:
     """Batched :func:`topk` over a query workload.
 
@@ -918,11 +861,6 @@ def topk_many(
         k: Number of results per query.
         strategy: Strategy for every query (``auto`` plans per query).
         block: Blockmax block size.
-        planner: Optional calibrated planner, shared by every query
-            (see :func:`topk`).
-        terms_list: One normalized term tuple per query, aligned with
-            ``queries``; required for the planner's term-aware tiers.
-        token: Version token shared by the whole batch.
 
     Returns:
         One ``(results, stats)`` pair per query, in input order.
@@ -933,17 +871,6 @@ def topk_many(
             if id(posting_list) not in warmed:
                 warmed.add(id(posting_list))
                 _columns(posting_list)
-    if terms_list is None:
-        terms_list = [() for _ in queries]
     return [
-        topk(
-            lists,
-            k,
-            strategy=strategy,
-            block=block,
-            planner=planner,
-            terms=terms,
-            token=token,
-        )
-        for lists, terms in zip(queries, terms_list)
+        topk(lists, k, strategy=strategy, block=block) for lists in queries
     ]

@@ -20,10 +20,10 @@ archive.
   posting prefix is rebuilt from the store's own documents and mined
   patterns — which is possible precisely because patterns are persisted
   and posting scores are a deterministic function of them;
-* a damaged ``planner/model`` or ``trackers/`` segment on an ``index``
-  store is auxiliary: it is quarantined and dropped from the manifest
-  (serving works without it, just uncalibrated / without tracker
-  state).
+* a damaged ``trackers/`` segment on an ``index`` store is auxiliary:
+  it is quarantined and dropped from the manifest (serving works
+  without tracker state), as is a damaged ``planner/model`` segment,
+  which older releases wrote and serving no longer reads.
 
 The rewritten manifest is installed through the same atomic
 temp-write → fsync → rename boundary sequence as a fresh save

@@ -79,7 +79,7 @@ class TestCacheCorrectness:
         cache_dir = str(tmp_path / "cache")
         run(tree, cache_dir)
         switched = run(
-            tree, cache_dir, select=frozenset(["blocking-in-async"])
+            tree, cache_dir, select=frozenset(["mmap-escape"])
         )
         assert switched.stats.cache_hits == 0
         assert switched.stats.cache_misses == switched.checked_files

@@ -73,7 +73,6 @@ class TestCheckCommand:
             "error-contract",
             "mmap-escape",
             "invalidation-reachability",
-            "blocking-in-async",
         ):
             assert name in out
 

@@ -1,4 +1,4 @@
-"""Whole-program analysis tests: graph, fixpoints and the four rules.
+"""Whole-program analysis tests: graph, fixpoints and the three rules.
 
 Each program rule is exercised against a committed fixture *package*
 (``tests/fixtures/analysis/program/<rule>/``): a multi-module mini
@@ -124,51 +124,18 @@ class TestInvalidationReachability:
         assert report.findings == (), render_text(report)
 
 
-class TestBlockingInAsync:
-    def test_direct_and_hidden_blocking_calls(self):
-        tree, report = run_rule(
-            "blocking_in_async", "violation", "blocking-in-async"
-        )
-        direct = marked_line(tree, "src/repro/live/gateway.py", "direct")
-        indirect = marked_line(
-            tree, "src/repro/live/gateway.py", "indirect"
-        )
-        anchors = [
-            (os.path.basename(f.path), f.line) for f in report.findings
-        ]
-        assert anchors == [
-            ("gateway.py", direct),
-            ("gateway.py", indirect),
-        ]
-        hidden = next(
-            f for f in report.findings if f.line == indirect
-        )
-        assert "drain_queue" in hidden.message
-        assert "time.sleep" in hidden.message
-        assert "workers.py" in hidden.message
-
-    def test_async_awaiting_async_is_clean(self):
-        _, report = run_rule(
-            "blocking_in_async", "clean", "blocking-in-async"
-        )
-        assert report.findings == (), render_text(report)
-
-
 class TestProgramSuppressions:
     def test_noqa_on_def_line_suppresses_program_finding(self, tmp_path):
         root = tmp_path / "src" / "repro" / "live"
         root.mkdir(parents=True)
         (root / "gateway.py").write_text(
-            "import time\n"
-            "\n"
-            "\n"
-            "async def tick():\n"
-            "    time.sleep(1)  # repro: noqa[blocking-in-async] -- demo\n"
+            "def tick():  # repro: noqa[error-contract] -- demo\n"
+            "    raise ValueError('tick')\n"
         )
-        config = default_config(select=frozenset(["blocking-in-async"]))
+        config = default_config(select=frozenset(["error-contract"]))
         report = check_paths([str(tmp_path)], config)
         assert report.findings == ()
-        assert [f.rule for f in report.suppressed] == ["blocking-in-async"]
+        assert [f.rule for f in report.suppressed] == ["error-contract"]
 
 
 class TestGraphResolution:

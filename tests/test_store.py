@@ -6,6 +6,14 @@ import os
 import numpy as np
 import pytest
 
+from repro import (
+    BatchMiner,
+    BurstySearchEngine,
+    Document,
+    Point,
+    SpatiotemporalCollection,
+    save_search_index,
+)
 from repro.errors import StoreCorruptionError, StoreError
 from repro.store import (
     FORMAT_NAME,
@@ -19,6 +27,7 @@ from repro.store.format import (
     decode_id_column,
     encode_id_column,
 )
+from repro.store.fsck import fsck_store, repair_store
 
 
 def write_minimal(path, payload=None):
@@ -254,3 +263,108 @@ class TestIdColumns:
     def test_unserializable_id_rejected(self):
         with pytest.raises(StoreError, match="not persistable"):
             encode_id_column([("tuple", "id")])
+
+
+#: A calibrated query planner's model, as older releases persisted it
+#: in an index store's ``planner/model`` segment.
+LEGACY_PLANNER_MODEL = {
+    "format": 1,
+    "hot_support": 16,
+    "model": {"min_samples": 8, "samples": {"scan": 9}, "weights": {}},
+    "memory": [[["quake"], "scan", 3, 0.0012]],
+    "support": [[["quake"], 3]],
+}
+
+
+def build_engine():
+    """Tiny corpus with one localized burst per term, mined by STLocal."""
+    collection = SpatiotemporalCollection(timeline=12)
+    for i in range(4):
+        collection.add_stream(f"s{i}", Point(float(i % 2), float(i // 2)))
+    doc_id = 0
+    for term, start in (("quake", 3), ("storm", 6)):
+        for t in range(start, start + 3):
+            for sid in ("s0", "s1", "s2"):
+                doc_id += 1
+                collection.add_document(Document(doc_id, sid, t, (term, term)))
+    for t in range(12):
+        doc_id += 1
+        collection.add_document(Document(doc_id, f"s{t % 4}", t, ("filler",)))
+    mined = BatchMiner().mine_regional(collection)
+    terms = sorted(term for term, patterns in mined.items() if patterns)
+    return BurstySearchEngine(collection, mined), terms
+
+
+def save_legacy_index(path, codec, monkeypatch):
+    """Save an index in the older layout: a ``planner/model`` JSON
+    segment and ``metadata["planner"]`` beside the serving segments."""
+    engine, terms = build_engine()
+    commit = SegmentWriter.commit
+
+    def legacy_commit(self, kind, metadata=None):
+        self.add_json("planner/model", LEGACY_PLANNER_MODEL)
+        commit(self, kind, {**(metadata or {}), "planner": True})
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SegmentWriter, "commit", legacy_commit)
+        save_search_index(path, engine, "regional", codec=codec)
+    return engine, terms
+
+
+def corrupt_planner_segment(path):
+    victim = os.path.join(path, "planner", "model")
+    with open(victim, "r+b") as handle:
+        handle.seek(-1, os.SEEK_END)
+        byte = handle.read(1)
+        handle.seek(-1, os.SEEK_END)
+        handle.write(bytes([byte[0] ^ 0x01]))
+
+
+def rankings(engine, terms):
+    return [
+        [(r.document.doc_id, r.score) for r in engine.search(term, k=10)]
+        for term in terms
+    ]
+
+
+@pytest.mark.parametrize("codec", ["raw", "packed"])
+class TestLegacyPlannerSegment:
+    def test_loads_and_ranks_identically(self, tmp_path, codec, monkeypatch):
+        path = str(tmp_path / "idx")
+        engine, terms = save_legacy_index(path, codec, monkeypatch)
+        reader = SegmentReader(path)
+        assert reader.json("planner/model") == LEGACY_PLANNER_MODEL
+        assert reader.metadata["planner"] is True
+        loaded = BurstySearchEngine.from_store(path)
+        assert rankings(loaded, terms) == rankings(engine, terms)
+        assert all(rankings(engine, terms))
+
+    def test_corrupt_segment_degrades_silently(
+        self, tmp_path, codec, monkeypatch
+    ):
+        path = str(tmp_path / "idx")
+        engine, terms = save_legacy_index(path, codec, monkeypatch)
+        corrupt_planner_segment(path)
+        with pytest.raises(StoreCorruptionError, match="planner/model"):
+            BurstySearchEngine.from_store(path)
+        loaded = BurstySearchEngine.from_store(path, on_corruption="degrade")
+        assert rankings(loaded, terms) == rankings(engine, terms)
+        assert loaded.degraded_report() == {}
+
+    def test_repair_quarantines_and_drops_segment(
+        self, tmp_path, codec, monkeypatch
+    ):
+        path = str(tmp_path / "idx")
+        engine, terms = save_legacy_index(path, codec, monkeypatch)
+        corrupt_planner_segment(path)
+        report = repair_store(path)
+        assert report.quarantined == ("planner/model",)
+        assert report.dropped == ("planner/model",)
+        assert report.rebuilt == ()
+        assert os.path.exists(os.path.join(path, "quarantine"))
+        reader = SegmentReader(path)
+        assert "planner/model" not in reader.files()
+        assert reader.metadata["planner"] is False
+        assert fsck_store(path).exit_code == 0
+        loaded = BurstySearchEngine.from_store(path)
+        assert rankings(loaded, terms) == rankings(engine, terms)

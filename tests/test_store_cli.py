@@ -7,6 +7,7 @@ actionable single-line message on stderr, never a traceback.
 """
 
 import os
+import re
 
 import pytest
 
@@ -162,6 +163,25 @@ class TestServingFlows:
         captured = capsys.readouterr()
         assert "cold-started engine from store" in captured.err
         assert "rankings byte-identical across strategies: yes" in captured.out
+        # --explain: one line per served query naming the strategy that
+        # ran, whether auto chose it, and the sorted accesses.
+        for extra, how in (
+            ([], "chosen by auto"),
+            (["--strategy", "blockmax"], "explicit"),
+        ):
+            argv = ["search", "--from-store", index_store, "--query", "crisis"]
+            assert main(argv + extra + ["--explain"]) == 0
+            explained = [
+                line.strip()
+                for line in capsys.readouterr().out.splitlines()
+                if "explain:" in line
+            ]
+            assert len(explained) == 1, explained
+            assert re.fullmatch(
+                rf"explain: ran '(scan|blockmax)' \({how}\), "
+                r"\d+ sorted access\(es\)",
+                explained[0],
+            ), explained
 
     def test_ingest_checkpoint_resume_cycle(self, tmp_path, capsys):
         ckpt = str(tmp_path / "ckpt")

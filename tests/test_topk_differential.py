@@ -1,7 +1,7 @@
 """Differential suite: every top-k strategy returns the identical ranking.
 
 Pins ``threshold_topk`` (reference TA) == ``blockmax_topk`` ==
-``scan_topk`` == planner-selected ``topk`` == ``exhaustive_topk`` over
+``scan_topk`` == ``auto``-selected ``topk`` == ``exhaustive_topk`` over
 random workloads spanning:
 
 * both posting containers — legacy ``PostingList`` and columnar
@@ -44,7 +44,7 @@ def ranking(results):
 
 
 def assert_all_strategies_agree(lists, k, blocks=(1, 3, 64)):
-    """Every strategy — and the planner — must agree exactly."""
+    """Every strategy — and ``auto`` — must agree exactly."""
     reference = ranking(exhaustive_topk(lists, k))
     ta, _ = threshold_topk(lists, k)
     assert ranking(ta) == reference
